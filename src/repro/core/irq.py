@@ -61,6 +61,7 @@ class RequestEntry:
         "object_id",
         "arrival_time",
         "tree",
+        "tree_gen",
         "active",
         "transfer",
         "_occ",
@@ -80,6 +81,10 @@ class RequestEntry:
         self.object_id = object_id
         self.arrival_time = arrival_time
         self.tree = tree
+        #: The requester's snapshot generation ``tree`` was pushed at
+        #: (see :meth:`repro.network.peer.Peer.refresh_outgoing_trees`);
+        #: 0 never matches a built snapshot.
+        self.tree_gen = 0
         self.active = True
         #: The transfer currently serving this request (None = queued).
         self.transfer = None
@@ -343,27 +348,41 @@ class IncomingRequestQueue:
         """Replace an entry's snapshot with a fresher one.
 
         Models the paper's incremental request-tree updates (§V) at
-        scan granularity.  Index lists for peers that vanished from the
-        tree become harmless garbage (``paths_to`` re-reads the entry's
-        occurrence map) and are purged by the next compaction.
+        scan granularity.  Index buckets for peers that vanished from
+        the tree keep the entry until the next compaction; ``paths_to``
+        re-reads the entry's occurrence map, so such a stale bucket
+        yields nothing.  It is not inert, though: a peer that leaves the
+        tree and later re-enters it is appended to its bucket a second
+        time, and until the next compaction ``paths_to`` yields that
+        entry's paths twice, and in a different order than after the
+        rebuild — compaction timing is part of the trajectory.
+
+        Pushing the tree the entry already holds (the requester's
+        snapshot was interned by content) still counts as a refresh and
+        bumps :attr:`version` — the owning peer's snapshot cache keys off
+        ``version`` alone, and the rebuild it triggers re-reads which
+        entries are exchange-attached — but keeps the entry's derived
+        caches and leaves the index untouched, since nothing they derive
+        from changed.
         """
         if self._entries.get(entry.key) is not entry:
             raise ProtocolError(f"cannot refresh unknown entry {entry!r}")
-        old_peers = entry._indexed
-        entry.set_tree(tree)
-        new_peers = tree_peer_set(entry.requester_id, tree)
-        if new_peers != old_peers:
-            entry._indexed = new_peers
-            index = self._index
-            for peer_id in new_peers - old_peers:
-                bucket = index.get(peer_id)
-                if bucket is None:
-                    index[peer_id] = entry
-                elif type(bucket) is list:
-                    bucket.append(entry)
-                else:
-                    index[peer_id] = [bucket, entry]
-            self._dead_in_index += len(old_peers - new_peers)
+        if tree is not entry.tree:
+            old_peers = entry._indexed
+            entry.set_tree(tree)
+            new_peers = tree_peer_set(entry.requester_id, tree)
+            if new_peers != old_peers:
+                entry._indexed = new_peers
+                index = self._index
+                for peer_id in new_peers - old_peers:
+                    bucket = index.get(peer_id)
+                    if bucket is None:
+                        index[peer_id] = entry
+                    elif type(bucket) is list:
+                        bucket.append(entry)
+                    else:
+                        index[peer_id] = [bucket, entry]
+                self._dead_in_index += len(old_peers - new_peers)
         self.version += 1
         if self._counters is not None:
             self._counters.bump("irq.tree_refreshes")
@@ -463,11 +482,22 @@ class IncomingRequestQueue:
 
     # ------------------------------------------------------------------
     def _maybe_compact(self) -> None:
-        """Rebuild the index when dead occurrences dominate.
+        """Rebuild the index once dead occurrences reach max(64, live entries).
 
-        Amortized: a rebuild costs O(live occurrences) and happens at
-        most once per max(64, live) removals; an emptied queue clears
-        its index immediately so idle peers hold no garbage.
+        The gate compares dead index *occurrences* (one per peer id of
+        every removed entry's tree, or dropped from a refreshed one)
+        with the number of live *entries*, while a rebuild costs
+        O(live occurrences); with deep trees it therefore fires far
+        more often than once per live occurrence of garbage.  An
+        emptied queue clears its index immediately so idle peers hold
+        no garbage.
+
+        The rebuild is not invisible: it drops the duplicate bucket
+        slots a leave-and-re-enter refresh leaves behind (see
+        :meth:`refresh_tree`) and restores FIFO order within buckets,
+        so ``paths_to`` output, and with it ring-candidate order,
+        depends on when compaction runs.  Changing this gate is a model
+        change, not an optimisation.
         """
         if self._dead_in_index <= 0:
             return

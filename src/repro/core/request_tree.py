@@ -52,6 +52,7 @@ class RequestTreeNode:
         "_depth",
         "_peer_set",
         "_occ_cache",
+        "_prune_cache",
     )
 
     def __init__(
@@ -72,6 +73,11 @@ class RequestTreeNode:
         #: provider.  Only populated on roots.
         self._peer_set: Optional[frozenset] = None
         self._occ_cache: Optional[dict] = None
+        #: ``(levels, node)``: this subtree's last unbudgeted
+        #: :func:`prune` that had to cut it.  Snapshots reuse unchanged
+        #: children from their predecessor, so caching per node lets the
+        #: pruned views of successive snapshots share nodes too.
+        self._prune_cache: Optional[Tuple[int, "RequestTreeNode"]] = None
 
     # ------------------------------------------------------------------
     def node_count(self) -> int:
@@ -150,35 +156,51 @@ def prune(
     are immutable, so sharing is safe) — identical content to the old
     deep copy, including the preorder truncation shape when the budget
     runs out mid-tree, without allocating a node per level per snapshot.
+    A subtree too deep for ``levels`` caches its unbudgeted cut on
+    itself, and a budgeted prune adopts that cut whole when it fits.
     """
     if levels <= 0:
         return None
     depth = node._depth
     if depth is None:
         depth = node.depth()
+    cached = node._prune_cache
+    if cached is not None and cached[0] != levels:
+        cached = None
     if budget is None:
         if depth <= levels:
             return node
+        if cached is not None:
+            return cached[1]
     else:
         remaining = budget[0]
         if remaining <= 0:
             return None
-        if depth <= levels:
-            count = node._node_count
+        fitting: Optional[RequestTreeNode] = node
+        if depth > levels:
+            fitting = cached[1] if cached is not None else None
+        if fitting is not None:
+            count = fitting._node_count
             if count is None:
-                count = node.node_count()
+                count = fitting.node_count()
             if count <= remaining:
+                # Taken whole, node for node as the preorder walk
+                # below would take it.
                 budget[0] = remaining - count
-                return node
+                return fitting
         budget[0] = remaining - 1
     if levels == 1:  # children could only land at level 0 — drop them
-        return RequestTreeNode(node.peer_id, node.object_id, ())
-    children: List[RequestTreeNode] = []
-    for child in node.children:
-        copied = prune(child, levels - 1, budget)
-        if copied is not None:
-            children.append(copied)
-    return RequestTreeNode(node.peer_id, node.object_id, tuple(children))
+        pruned = RequestTreeNode(node.peer_id, node.object_id, ())
+    else:
+        children: List[RequestTreeNode] = []
+        for child in node.children:
+            copied = prune(child, levels - 1, budget)
+            if copied is not None:
+                children.append(copied)
+        pruned = RequestTreeNode(node.peer_id, node.object_id, tuple(children))
+    if budget is None:
+        node._prune_cache = (levels, pruned)
+    return pruned
 
 
 def build_snapshot(
@@ -186,6 +208,7 @@ def build_snapshot(
     irq: "IncomingRequestQueue",
     levels: int,
     node_budget: int,
+    previous: Optional[RequestTreeNode] = None,
 ) -> Optional[RequestTreeNode]:
     """The tree a peer attaches to an outgoing request.
 
@@ -193,11 +216,25 @@ def build_snapshot(
     root; with the paper's max ring of 5 the snapshot carries
     ``levels = 4``.  Returns None when ``levels <= 0`` (no-exchange or
     ring-size-1 configurations attach nothing).
+
+    Snapshots are **interned by content** against ``previous``, the
+    peer's last snapshot: a rebuild equal to it returns ``previous``
+    itself, so the root-level caches every provider shares
+    (``_peer_set``, the occurrence sub-index, the pruned views) survive
+    and the providers holding it need not re-derive them.  A child of
+    ``previous`` in the same position is reused when its requester and
+    object match and its children equal the rebuilt ones.  That compare
+    is cheap: while an entry's tree is unchanged its cached pruned view
+    is the very tuple ``previous`` holds, and otherwise the view shares
+    every node :func:`prune` did not have to cut anew, so the deep
+    compare stops at the first shared node on each branch.
     """
     if levels <= 0:
         return None
     budget = [max(0, node_budget - 1)]  # root consumes one slot
     children: List[RequestTreeNode] = []
+    old: Tuple[RequestTreeNode, ...] = previous.children if previous is not None else ()
+    reused = previous is not None
     if levels > 1:
         for entry in irq.tree_entries():
             if budget[0] <= 0:
@@ -220,10 +257,42 @@ def build_snapshot(
                         if copied is not None:
                             grandchildren.append(copied)
                     child_children = tuple(grandchildren)
+            position = len(children)
+            if position < len(old):
+                prior = old[position]
+                if (
+                    prior.peer_id == entry.requester_id
+                    and prior.object_id == entry.object_id
+                    and (
+                        prior.children is child_children
+                        or _same_forest(prior.children, child_children)
+                    )
+                ):
+                    children.append(prior)
+                    continue
+            reused = False
             children.append(
                 RequestTreeNode(entry.requester_id, entry.object_id, child_children)
             )
+    if reused and len(children) == len(old):
+        return previous
     return RequestTreeNode(peer_id, None, tuple(children))
+
+
+def _same_forest(
+    left: Tuple[RequestTreeNode, ...], right: Tuple[RequestTreeNode, ...]
+) -> bool:
+    """Whether two child tuples hold structurally equal subtrees."""
+    if len(left) != len(right):
+        return False
+    for a, b in zip(left, right):
+        if a is b:
+            continue
+        if a.peer_id != b.peer_id or a.object_id != b.object_id:
+            return False
+        if not _same_forest(a.children, b.children):
+            return False
+    return True
 
 
 def iter_occurrences(

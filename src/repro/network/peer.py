@@ -69,6 +69,7 @@ class Peer:
         "idle_search_key",
         "periodic_processes",
         "_snapshot_cache",
+        "_tree_gen",
         "_last_tree_refresh",
         "_push_complete_version",
         "_workload_stalled_until",
@@ -129,6 +130,9 @@ class Peer:
         #: simulation assembly so churn can pause them while offline.
         self.periodic_processes: List["PeriodicProcess"] = []
         self._snapshot_cache: Optional[Tuple[int, object]] = None
+        #: Snapshot generation: bumped on every rebuild, stamped on the
+        #: entries the snapshot is attached or pushed to.
+        self._tree_gen = 0
         self._last_tree_refresh = -math.inf
         #: IRQ version whose snapshot a *completed* refresh pass pushed
         #: to every live registered entry; None when some entry could
@@ -326,6 +330,7 @@ class Peer:
             arrival_time=self.ctx.now,
             tree=self._tree_snapshot(),
         )
+        entry.tree_gen = self._tree_gen
         if not provider.irq.add(entry):
             return False
         download.registered_at.add(provider_id)
@@ -345,18 +350,29 @@ class Peer:
         """The tree attached to outgoing requests, cached by IRQ version.
 
         Rebuilt only when this peer's IRQ content changed, so idle peers
-        pay nothing for the periodic tree propagation.
+        pay nothing for the periodic tree propagation.  Every rebuild
+        starts a new generation (``_tree_gen``), even when
+        :func:`~repro.core.request_tree.build_snapshot` hands back the
+        previous root because the content did not change: the
+        generation, not the root's identity, tells
+        :meth:`refresh_outgoing_trees` which providers to push to.
         """
         levels = self.policy.tree_levels
         if levels <= 0:
             return None
         cached = self._snapshot_cache
-        if cached is not None and cached[0] == self.irq.version:
+        version = self.irq.version
+        if cached is not None and cached[0] == version:
             return cached[1]
         tree = build_snapshot(
-            self.peer_id, self.irq, levels, self.ctx.config.max_tree_nodes
+            self.peer_id,
+            self.irq,
+            levels,
+            self.ctx.config.max_tree_nodes,
+            cached[1] if cached is not None else None,
         )
-        self._snapshot_cache = (self.irq.version, tree)
+        self._tree_gen += 1
+        self._snapshot_cache = (version, tree)
         return tree
 
     # ------------------------------------------------------------------
@@ -585,6 +601,15 @@ class Peer:
         every scan, a peer pushes its current snapshot to the providers
         holding its open requests, so ring search upstream sees trees at
         most one scan interval stale.
+
+        An entry is pushed to exactly when its ``tree_gen`` stamp is not
+        the current snapshot generation, i.e. when it was attached or
+        last pushed before the latest rebuild.  Snapshots are interned
+        by content, so the push often hands the provider the root it
+        already holds; the provider still counts the refresh and bumps
+        its IRQ version (its own snapshot cache keys off that version,
+        and ``tree_entries`` filters on binding state the version does
+        not track), but re-derives nothing.
         """
         if self.policy.tree_levels <= 1:
             return  # snapshots would carry no children anyway
@@ -619,9 +644,11 @@ class Peer:
                     continue
                 if snapshot is None:
                     snapshot = self._tree_snapshot()
-                if entry.tree is snapshot:
+                    generation = self._tree_gen
+                if entry.tree_gen == generation:
                     continue  # provider already holds the current tree
                 provider.irq.refresh_tree(entry, snapshot)
+                entry.tree_gen = generation
         self._push_complete_version = version if complete else None
 
     def _replenish_downloads(self) -> None:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.irq import IncomingRequestQueue, RequestEntry
 from repro.core.request_tree import RequestTreeNode
 from repro.errors import ProtocolError
+from repro.sim.counters import PerfCounters
 
 
 def entry(requester=2, obj=20, t=0.0, tree=None):
@@ -211,3 +212,32 @@ class TestCompactionProperty:
         if not model:
             # An emptied queue compacts immediately: no garbage index.
             assert irq.index_view() == {}
+
+
+class TestRefreshReentryDuplicates:
+    """A peer that leaves an entry's tree and re-enters it is appended
+    to its index bucket twice; ``paths_to`` repeats the path until the
+    next compaction rebuilds the bucket.  Compaction timing is
+    therefore part of the trajectory, and this pins it."""
+
+    @staticmethod
+    def _tree(*peers):
+        return RequestTreeNode(2, None, tuple(RequestTreeNode(p, 40 + p) for p in peers))
+
+    def test_reentered_peer_yields_path_twice_until_compaction(self):
+        counters = PerfCounters(enabled=True)
+        irq = IncomingRequestQueue(capacity=500, counters=counters)
+        e = entry(tree=self._tree(4))
+        irq.add(e)
+        irq.refresh_tree(e, self._tree())  # peer 4 leaves the tree
+        irq.refresh_tree(e, self._tree(4))  # ... and re-enters it
+        assert counters.counts.get("irq.compactions", 0) == 0
+        path = ((2, 20), (4, 44))
+        assert list(irq.paths_to(4)) == [(e, path), (e, path)]
+        # Dead occurrences reach the max(64, live entries) gate.
+        for requester in range(100, 164):
+            irq.add(entry(requester=requester, obj=1))
+        for requester in range(100, 164):
+            irq.remove(requester, 1)
+        assert counters.counts["irq.compactions"] == 1
+        assert list(irq.paths_to(4)) == [(e, path)]

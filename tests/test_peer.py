@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.irq import RequestEntry
 from repro.errors import ProtocolError
 from repro.metrics.records import TerminationReason
 
@@ -213,3 +214,36 @@ class TestTreeRefresh:
         assert any(child.peer_id == 2 for child in refreshed.tree.children)
         # The provider's index now knows peer 2 is reachable through 1.
         assert 2 in provider.irq.indexed_peers()
+
+    def _registered(self):
+        ctx = make_ctx(small_config(tree_refresh_interval=1.0))
+        provider = build_peer(ctx, 0)
+        requester = build_peer(ctx, 1)
+        give(ctx, provider, 0)
+        requester.start_download(ctx.catalog.object(0))
+        return ctx, provider, requester, provider.irq.get(1, 0)
+
+    def test_entry_stamped_with_current_generation_is_not_pushed(self):
+        ctx, provider, requester, entry = self._registered()
+        assert entry.tree_gen == requester._tree_gen
+        version = provider.irq.version
+        ctx.engine.run(until=2.0)
+        requester.refresh_outgoing_trees()
+        assert provider.irq.version == version
+
+    def test_content_equal_rebuild_pushes_the_interned_root(self):
+        ctx, provider, requester, entry = self._registered()
+        held = entry.tree
+        indexed = entry._indexed
+        # The requester's IRQ version moves but its content does not.
+        requester.irq.add(RequestEntry(5, 9, 0.0))
+        requester.irq.remove(5, 9)
+        version = provider.irq.version
+        ctx.engine.run(until=2.0)
+        requester.refresh_outgoing_trees()
+        # A new generation is pushed exactly as before interning (the
+        # provider's version bumps), but the root is the one it holds.
+        assert requester._tree_gen == entry.tree_gen
+        assert provider.irq.version == version + 1
+        assert entry.tree is held
+        assert entry._indexed is indexed

@@ -20,10 +20,12 @@ from __future__ import annotations
 import os
 import random
 
+from repro import run_simulation
 from repro.core import exchange_manager
 from repro.core.disciplines import make_discipline
 from repro.core.irq import IncomingRequestQueue, RequestEntry
 from repro.experiments.figures import fig7_session_volume_cdf
+from repro.experiments.presets import preset
 from repro.network.lookup import LookupService
 
 from tests.helpers import build_peer, give, make_ctx
@@ -39,6 +41,37 @@ class TestGoldenFigure:
             golden = handle.read()
         table = fig7_session_volume_cdf(scale="smoke", seed=42)
         assert table.render() + "\n" == golden
+
+
+class TestWorkCounterPins:
+    """Deterministic work counts of the golden cell, exactly.
+
+    The same smoke cell as the golden table, with ``perf_counters`` on.
+    A trajectory-neutral optimisation must leave every count equal:
+    IRQ version bumps (adds, removes, tree refreshes), compactions and
+    ring-search work happen at the same points, whatever is cached.
+    These counts do not depend on the machine, so they catch extra or
+    missing work that a noisy clock hides.
+    """
+
+    PINS = {
+        "engine.fired": 68_921,
+        "irq.adds": 2_121,
+        "irq.removes": 1_898,
+        "irq.tree_refreshes": 23_178,
+        "irq.compactions": 560,
+        "ring_search.searches": 11_731,
+        "ring_search.candidates": 83_334,
+        "ring_search.rings_formed": 329,
+        "ring_search.gated_skips": 4_270,
+    }
+
+    def test_golden_cell_work_counts_pinned(self):
+        config = preset("smoke", exchange_mechanism="2-5-way", seed=42, perf_counters=True)
+        result = run_simulation(config)
+        counts = result.perf_counters["counts"]
+        assert result.events_fired == self.PINS["engine.fired"]
+        assert {name: counts.get(name, 0) for name in self.PINS} == self.PINS
 
 
 class TestExchangeSearchGate:

@@ -10,8 +10,11 @@ from repro.core.request_tree import (
     build_snapshot,
     iter_occurrences,
     occurrence_index,
+    occurrence_subindex,
     prune,
+    tree_peer_set,
 )
+from repro.sim.counters import PerfCounters
 
 
 def leaf(peer_id, object_id):
@@ -171,3 +174,149 @@ class TestOccurrences:
         tree = node(2, None, RequestTreeNode(4, None))
         index = occurrence_index(2, 20, tree)
         assert 4 not in index
+
+
+class TestSnapshotInterning:
+    """``build_snapshot`` hands back its ``previous`` root when the
+    rebuild is content-equal, keeping the root's shared caches."""
+
+    def _irq(self):
+        irq = IncomingRequestQueue(capacity=100)
+        irq.add(RequestEntry(2, 20, 0.0, tree=node(2, None, node(4, 44, leaf(5, 55)))))
+        irq.add(RequestEntry(3, 30, 1.0))
+        return irq
+
+    def test_content_equal_rebuild_returns_previous_root(self):
+        irq = self._irq()
+        first = build_snapshot(7, irq, levels=4, node_budget=100)
+        peers = tree_peer_set(7, first)
+        subindex = occurrence_subindex(7, first)
+        # A version bump that leaves the content unchanged.
+        irq.add(RequestEntry(9, 90, 2.0))
+        irq.remove(9, 90)
+        again = build_snapshot(7, irq, levels=4, node_budget=100, previous=first)
+        assert again is first
+        assert tree_peer_set(7, again) is peers
+        assert occurrence_subindex(7, again) is subindex
+
+    def test_equal_copy_of_an_entry_tree_still_interns(self):
+        irq = self._irq()
+        first = build_snapshot(7, irq, levels=4, node_budget=100)
+        held = irq.get(2, 20)
+        irq.refresh_tree(held, RequestTreeNode.from_dict(held.tree.to_dict()))
+        assert build_snapshot(7, irq, levels=4, node_budget=100, previous=first) is first
+
+    def test_changed_rebuild_yields_new_root_reusing_unchanged_children(self):
+        irq = self._irq()
+        first = build_snapshot(7, irq, levels=4, node_budget=100)
+        irq.add(RequestEntry(8, 80, 2.0))
+        second = build_snapshot(7, irq, levels=4, node_budget=100, previous=first)
+        assert second is not first
+        assert second.children[:2] == first.children  # same node objects
+        assert [c.peer_id for c in second.children] == [2, 3, 8]
+
+    def test_budget_truncated_rebuild_compares_deeply(self):
+        wide = node(2, None, *[leaf(i, i * 10) for i in range(10, 20)])
+        irq = IncomingRequestQueue(capacity=100)
+        irq.add(RequestEntry(2, 20, 0.0, tree=wide))
+        first = build_snapshot(7, irq, levels=4, node_budget=6)
+        assert first.node_count() == 6  # the entry's subtree was cut
+        irq.add(RequestEntry(9, 90, 1.0))
+        irq.remove(9, 90)
+        assert build_snapshot(7, irq, levels=4, node_budget=6, previous=first) is first
+        # Same entries, but the cut keeps a different prefix.
+        narrow = node(2, None, *[leaf(i, i * 10) for i in range(11, 20)])
+        irq.refresh_tree(irq.get(2, 20), narrow)
+        changed = build_snapshot(7, irq, levels=4, node_budget=6, previous=first)
+        assert changed is not first
+        assert [g.peer_id for g in changed.children[0].children] == [11, 12, 13, 14]
+
+    def test_refreshing_the_held_tree_bumps_version_but_keeps_caches(self):
+        counters = PerfCounters(enabled=True)
+        irq = IncomingRequestQueue(capacity=10, counters=counters)
+        tree = node(2, None, node(4, 44, leaf(5, 55)))
+        held = RequestEntry(2, 20, 0.0, tree=tree)
+        irq.add(held)
+        indexed = held._indexed
+        assert [p for _e, p in irq.paths_to(5)] == [((2, 20), (4, 44), (5, 55))]
+        paths, occurrences = held._paths, held.occurrences()
+        version = irq.version
+        irq.refresh_tree(held, tree)
+        assert irq.version == version + 1
+        assert counters.counts["irq.tree_refreshes"] == 1
+        assert held._indexed is indexed
+        assert held._paths is paths and held.occurrences() is occurrences
+
+    CHILDREN = st.frozensets(st.integers(min_value=10, max_value=16), max_size=3)
+    OPS = st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("add"),
+                st.integers(min_value=0, max_value=6),
+                st.integers(min_value=0, max_value=9),
+                CHILDREN,
+            ),
+            st.tuples(st.just("remove"), st.integers(min_value=0, max_value=63)),
+            st.tuples(st.just("refresh"), st.integers(min_value=0, max_value=63), CHILDREN),
+            st.tuples(st.just("repush"), st.integers(min_value=0, max_value=63)),
+        ),
+        max_size=80,
+    )
+
+    @staticmethod
+    def _tree(requester, obj, children):
+        # Each child also carries a grandchild, so a refresh can move a
+        # peer between depths as well as in and out of the tree.
+        kids = tuple(
+            node(c, obj, leaf(10 + (c + obj) % 7, obj + 1))
+            for c in sorted(children)
+            if c != requester
+        )
+        return node(requester, None, *kids)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=OPS)
+    def test_interned_push_matches_equal_copy_push(self, ops):
+        """Pushing the held root and pushing a content-equal copy leave
+        the queue in the same observable state, step by step."""
+        copies = IncomingRequestQueue(capacity=1_000)
+        interned = IncomingRequestQueue(capacity=1_000)
+        for op in ops:
+            kind = op[0]
+            keys = [e.key for e in interned.snapshot()]
+            if kind == "add":
+                _, requester, obj, children = op
+                tree = self._tree(requester, obj, children)
+                copy = RequestTreeNode.from_dict(tree.to_dict())
+                assert copies.add(RequestEntry(requester, obj, 0.0, copy)) == interned.add(
+                    RequestEntry(requester, obj, 0.0, tree)
+                )
+            elif not keys:
+                continue
+            elif kind == "remove":
+                key = keys[op[1] % len(keys)]
+                copies.remove(*key)
+                interned.remove(*key)
+            else:
+                key = keys[op[1] % len(keys)]
+                held = interned.get(*key)
+                if kind == "refresh":
+                    tree = self._tree(key[0], key[1], op[2])
+                    interned.refresh_tree(held, tree)
+                else:
+                    tree = held.tree
+                    interned.refresh_tree(held, tree)
+                copies.refresh_tree(
+                    copies.get(*key), RequestTreeNode.from_dict(tree.to_dict())
+                )
+            assert copies.version == interned.version
+            assert {
+                peer: [e.key for e in bucket] for peer, bucket in copies.index_view().items()
+            } == {
+                peer: [e.key for e in bucket]
+                for peer, bucket in interned.index_view().items()
+            }
+            for peer in range(18):
+                assert [(e.key, path) for e, path in copies.paths_to(peer)] == [
+                    (e.key, path) for e, path in interned.paths_to(peer)
+                ]
