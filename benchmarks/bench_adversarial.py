@@ -39,7 +39,6 @@ def test_adversarial_cell(benchmark):
         "adversarial",
         wall_seconds=wall,
         events_fired=result.events_fired,
-        collector_backend=result.metrics.backend_name,
         num_peers=result.config.num_peers,
         scenario_events=len(result.config.scenario),
         whitewashes=summary.counters.get("adversary.whitewash", 0),

@@ -58,7 +58,6 @@ def test_huge_preset(benchmark):
         wall_seconds=run_wall,
         events_fired=result.events_fired,
         scale="huge",
-        collector_backend=result.metrics.backend_name,
         num_peers=result.config.num_peers,
         metrics_retention=result.config.metrics_retention,
         counters=result.perf_counters,

@@ -46,7 +46,6 @@ def test_scale_base(benchmark):
         "scale_base",
         wall_seconds=wall,
         events_fired=result.events_fired,
-        collector_backend=result.metrics.backend_name,
         scale="scale",
         num_peers=result.config.num_peers,
         counters=result.perf_counters,
@@ -70,7 +69,6 @@ def test_scale_churn(benchmark):
         "scale_churn",
         wall_seconds=wall,
         events_fired=result.events_fired,
-        collector_backend=result.metrics.backend_name,
         scale="scale",
         num_peers=result.config.num_peers,
         churn_transitions=result.summary.counters.get("churn.offline", 0)

@@ -38,7 +38,6 @@ def test_flashcrowd_preset(benchmark):
         "flashcrowd",
         wall_seconds=wall,
         events_fired=result.events_fired,
-        collector_backend=result.metrics.backend_name,
         num_peers=result.config.num_peers,
         scenario_events=len(result.config.scenario),
         flash_objects=summary.counters.get("scenario.flash_objects", 0),

@@ -60,7 +60,7 @@ from repro.scenario import (
 from repro.simulation import FileSharingSimulation, SimulationResult, run_simulation
 from repro.strategy import STRATEGY_RULES, StrategyDirector, StrategySpec
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 __all__ = [
     "CapacityChange",

@@ -54,12 +54,6 @@ HOT_PATH_BASENAMES = frozenset(
     {"transfer.py", "peer.py", "strategy.py", "exchange_manager.py", "irq.py"}
 )
 
-#: Compat shims that allocate a record object per call; hot paths must
-#: use the scalar ``add_*`` column API instead.
-RECORD_COMPAT_CALLS = frozenset(
-    {"record_session", "record_download", "record_strategy_epoch"}
-)
-
 #: File basenames under the NUM001 byte-identity contract.
 NUMERIC_BASENAMES = frozenset({"aggregates.py", "columnar.py"})
 
@@ -130,11 +124,11 @@ class HotPathAllocationRule(Rule):
         "from a callback handed to Engine.schedule/schedule_at (directly or "
         "through a callback= parameter such as PeriodicProcess's).  Within "
         "hot functions of transfer/peer/strategy/exchange_manager/irq the "
-        "rule flags dict displays, dict() calls, dict comprehensions, "
-        "*Record(...) constructions and the record_* compat shims.  Dunder "
-        "methods (__init__ and friends) are exempt: they run per entity, "
-        "not per event.  Deliberate small allocations carry an inline "
-        "suppression explaining the amortization argument."
+        "rule flags dict displays, dict() calls, dict comprehensions and "
+        "*Record(...) constructions.  Dunder methods (__init__ and friends) "
+        "are exempt: they run per entity, not per event.  Deliberate small "
+        "allocations carry an inline suppression explaining the amortization "
+        "argument."
     )
 
     def finalize(self, project: Project) -> Iterable[Finding]:
@@ -188,10 +182,7 @@ class HotPathAllocationRule(Rule):
                         f"dict() allocated in hot function '{label}' ({why}); "
                         "hoist it or use the columnar scalar API",
                     )
-                elif final is not None and (
-                    final in RECORD_COMPAT_CALLS
-                    or (final.endswith("Record") and final[0].isupper())
-                ):
+                elif final is not None and final.endswith("Record") and final[0].isupper():
                     yield _finding(
                         self,
                         module,
@@ -212,7 +203,7 @@ class NumericReductionRule(Rule):
         "— np.sum/math.fsum/method reductions are banned"
     )
     rationale = (
-        "The columnar backend's equivalence contract is byte-identity with "
+        "The columnar collector's equivalence contract is byte-identity with "
         "the per-record reference implementation, and float addition is not "
         "associative: np.sum's pairwise reduction and math.fsum's exact "
         "summation both round differently from the left-fold the record "

@@ -127,21 +127,14 @@ class SimulationConfig:
     block_size_kbit: float = 4096.0
     bootstrap_window: float = 60.0
     seed: int = 42
-    #: Metrics storage backend: "columnar" (numpy struct-of-arrays, the
-    #: default — constant per-record cost and ~4x smaller resident
-    #: records at scale) or "dataclass" (one frozen record object per
-    #: measurement, the historical layout).  The two backends produce
-    #: byte-identical summaries; the knob exists for dependency-light
-    #: embedding and for the equivalence tests.
-    metrics_backend: str = "columnar"
     #: Metrics retention policy: "full" (every record row stays resident
     #: and queryable — the historical behaviour and the default) or
-    #: "streaming" (columnar backend only: frozen 4096-row chunks fold
-    #: into running aggregates and are released, so metrics memory is
-    #: flat in run length).  Streaming serves exactly the summary-input
-    #: queries, byte-identically to full retention; record-level views
-    #: raise.  Incompatible with adaptive strategy dynamics, which
-    #: replay raw record rows.
+    #: "streaming" (frozen 4096-row chunks fold into running aggregates
+    #: and are released, so metrics memory is flat in run length).
+    #: Streaming serves exactly the summary-input queries,
+    #: byte-identically to full retention; record-level views raise.
+    #: Incompatible with adaptive strategy dynamics, which replay raw
+    #: record rows.
     metrics_retention: str = "full"
     #: Enable the per-subsystem perf-counter layer (see
     #: :mod:`repro.sim.counters`).  Off by default: counters feed
@@ -289,10 +282,6 @@ class SimulationConfig:
             (self.block_size_kbit > 0, "block_size_kbit must be positive"),
             (self.bootstrap_window >= 0, "bootstrap_window must be >= 0"),
             (
-                self.metrics_backend in ("dataclass", "columnar"),
-                f"unknown metrics_backend {self.metrics_backend!r}",
-            ),
-            (
                 self.metrics_retention in ("full", "streaming"),
                 f"unknown metrics_retention {self.metrics_retention!r}",
             ),
@@ -301,11 +290,6 @@ class SimulationConfig:
             if not ok:
                 raise ConfigError(message)
         if self.metrics_retention == "streaming":
-            if self.metrics_backend != "columnar":
-                raise ConfigError(
-                    "metrics_retention='streaming' requires the columnar "
-                    f"backend, got metrics_backend={self.metrics_backend!r}"
-                )
             # The strategy layer replays raw record rows each revision
             # epoch (``*_rows_since``); streaming retention releases
             # them, so the combination cannot work.

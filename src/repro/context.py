@@ -13,9 +13,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.config import SimulationConfig
 from repro.core.peer_table import PeerStateTable
-from repro.metrics.collectors import MetricsCollector
 from repro.metrics.columnar import ColumnarCollector
-from repro.metrics.summary import AnyCollector
 from repro.sim.counters import PerfCounters
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomSource
@@ -35,7 +33,7 @@ class SimContext:
         config: SimulationConfig,
         engine: Optional[Engine] = None,
         rng: Optional[RandomSource] = None,
-        metrics: Optional["AnyCollector"] = None,
+        metrics: Optional[ColumnarCollector] = None,
     ) -> None:
         self.config = config
         #: Per-subsystem perf counters (see :mod:`repro.sim.counters`);
@@ -54,16 +52,15 @@ class SimContext:
             self.counters = PerfCounters(enabled=config.perf_counters)
             self.engine = Engine(counters=self.counters)
         self.rng = rng if rng is not None else RandomSource(config.seed)
-        if metrics is not None:
-            self.metrics: "AnyCollector" = metrics
-        elif config.metrics_backend == "columnar":
-            self.metrics = ColumnarCollector(
+        self.metrics = (
+            metrics
+            if metrics is not None
+            else ColumnarCollector(
                 retention=config.metrics_retention,
                 warmup=config.warmup,
                 perf_counters=self.counters,
             )
-        else:
-            self.metrics = MetricsCollector()
+        )
         self.peers: Dict[int, "Peer"] = {}
         #: Columnar mirror of scan-relevant peer state (see
         #: :mod:`repro.core.peer_table`); peers push updates here from

@@ -58,9 +58,11 @@ ProgressFn = Callable[[int, int], None]
 #: fingerprints now cover ``strategy`` / per-class strategy specs and
 #: summaries carry sharing-fraction trajectories; the flat-cost event
 #: loop did again: fingerprints now cover ``metrics_retention`` /
-#: ``perf_counters``).  Entries stamped with any other value are
-#: treated as misses, so stale pre-refactor results are never replayed.
-CACHE_SCHEMA_VERSION = 7
+#: ``perf_counters``; dropping the ``metrics_backend`` field did again:
+#: it changed every config's canonical JSON).  Entries stamped with any
+#: other value are treated as misses, so stale pre-refactor results are
+#: never replayed.
+CACHE_SCHEMA_VERSION = 8
 
 
 def config_fingerprint(config: SimulationConfig) -> str:

@@ -1,7 +1,7 @@
 """Measurement layer: session/download records, CDFs and summaries."""
 
 from repro.metrics.cdf import EmpiricalCDF
-from repro.metrics.collectors import MetricsCollector
+from repro.metrics.columnar import ColumnarCollector
 from repro.metrics.records import (
     DownloadRecord,
     SessionRecord,
@@ -11,9 +11,9 @@ from repro.metrics.records import (
 from repro.metrics.summary import SimulationSummary, summarize
 
 __all__ = [
+    "ColumnarCollector",
     "DownloadRecord",
     "EmpiricalCDF",
-    "MetricsCollector",
     "SessionRecord",
     "SimulationSummary",
     "TerminationReason",

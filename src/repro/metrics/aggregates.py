@@ -1,13 +1,13 @@
 """Shared session-reduction containers and streaming chunk folds.
 
 :func:`~repro.metrics.summary.summarize` used to iterate
-``List[SessionRecord]`` itself; with two collector backends (object
-lists and columnar arrays) the per-session reduction lives behind
-``collector.session_aggregates(warmup)`` instead, and this module holds
-the result shape both backends produce.
+``List[SessionRecord]`` itself; the per-session reduction now lives
+behind ``collector.session_aggregates(warmup)`` (columnar arrays at
+runtime, a record list in the tests' reference collector), and this
+module holds the result shape both produce.
 
 Under streaming retention (``SimulationConfig.metrics_retention =
-"streaming"``) the columnar backend additionally *folds* every frozen
+"streaming"``) the columnar collector additionally *folds* every frozen
 4096-row chunk into the running reductions here and releases the chunk,
 so metrics memory stays flat in run length.  The folds keep only what
 the summary needs per record: the per-class volume/waiting value lists
@@ -17,8 +17,8 @@ chunk arrays until query time.
 Bit-identity contract: every float in an aggregate must be built from
 the same IEEE operations in the same order as the historical record
 loop — elementwise ``/ 8.0`` and ``/ 60.0`` transforms, and sequential
-left-fold ``sum(values, start)`` accumulations — so the two backends
-*and* the two retention modes summarize to byte-identical JSON (pinned
+left-fold ``sum(values, start)`` accumulations — so the columnar and
+reference collectors *and* the two retention modes summarize to byte-identical JSON (pinned
 by the golden figure tests, ``tests/test_collector_equivalence.py`` and
 ``tests/test_streaming_retention.py``).  Chunking cannot move a float:
 the elementwise transforms are per-element, carrying the accumulator

@@ -1,15 +1,15 @@
 """Columnar metrics collector: numpy struct-of-arrays record storage.
 
-Drop-in alternative to :class:`~repro.metrics.collectors.MetricsCollector`
-for large runs.  Records land as scalars appended to a staging row list
-that is flushed into fixed-size numpy column chunks (amortized growth,
-8 bytes per float instead of a boxed dataclass per record), and every
-summary input — filtered time lists, per-class groupings, session
-aggregates — is extracted straight from the arrays.
+The simulation's metrics sink.  Records land as scalars appended to a
+staging row list that is flushed into fixed-size numpy column chunks
+(amortized growth, 8 bytes per float instead of a boxed dataclass per
+record), and every summary input — filtered time lists, per-class
+groupings, session aggregates — is extracted straight from the arrays.
 
 Equivalence contract (pinned by ``tests/test_collector_equivalence.py``):
 for any record stream, :func:`~repro.metrics.summary.summarize` over
-this collector is **byte-identical** to the dataclass collector.  That
+this collector is **byte-identical** to the historical one-dataclass-
+per-record collector, which the tests keep as a reference.  That
 is why every float transform below is elementwise (``/ 8.0``,
 ``- request_time``, ``/ 60.0`` — IEEE-identical to the per-record
 Python expressions) and every accumulation is a sequential left-fold
@@ -249,17 +249,12 @@ class _ColumnTable:
 
 
 class ColumnarCollector:
-    """Numpy-backed metrics sink, summary-equivalent to the dataclass one.
+    """Numpy-backed metrics sink.
 
-    Implements the full :class:`~repro.metrics.collectors.MetricsCollector`
-    surface: the ``add_*`` scalar hot path, the ``record_*`` dataclass
-    compatibility path, counters, phase stamping, the filtered-view
-    queries, and :meth:`session_aggregates` for
+    The ``add_*`` scalar hot path, counters, phase stamping, the
+    filtered-view queries, and :meth:`session_aggregates` for
     :func:`~repro.metrics.summary.summarize`.
     """
-
-    #: Backend label, published into benchmark artifacts.
-    backend_name = "columnar"
 
     def __init__(
         self,
@@ -315,7 +310,7 @@ class ColumnarCollector:
         self._epochs = _ColumnTable(_EPOCH_SCHEMA)
         self.counters: Counter = Counter()
         #: Scenario-phase label stamped onto records as they land (same
-        #: contract as the dataclass collector).
+        #: contract as the reference collector).
         self.current_phase: str = ""
 
     # ------------------------------------------------------------------
@@ -469,56 +464,6 @@ class ColumnarCollector:
             )
         )
 
-    # ------------------------------------------------------------------
-    # recording — dataclass compatibility path
-    # ------------------------------------------------------------------
-    def record_session(self, record: SessionRecord) -> None:
-        """Append a prebuilt record (tests / hand-built streams)."""
-        self.add_session(
-            provider_id=record.provider_id,
-            requester_id=record.requester_id,
-            object_id=record.object_id,
-            traffic_class=record.traffic_class,
-            ring_size=record.ring_size,
-            ring_id=record.ring_id,
-            request_time=record.request_time,
-            start_time=record.start_time,
-            end_time=record.end_time,
-            kbit_transferred=record.kbit_transferred,
-            reason=record.reason,
-            requester_is_sharer=record.requester_is_sharer,
-            requester_class=record.requester_class,
-            phase=record.phase,
-        )
-
-    def record_download(self, record: DownloadRecord) -> None:
-        """Append a prebuilt record (tests / hand-built streams)."""
-        self.add_download(
-            peer_id=record.peer_id,
-            object_id=record.object_id,
-            request_time=record.request_time,
-            complete_time=record.complete_time,
-            size_kbit=record.size_kbit,
-            peer_is_sharer=record.peer_is_sharer,
-            class_name=record.class_name,
-            phase=record.phase,
-        )
-
-    def record_strategy_epoch(self, record: StrategyEpochRecord) -> None:
-        """Append a prebuilt record (tests / hand-built streams)."""
-        self.add_strategy_epoch(
-            time=record.time,
-            epoch=record.epoch,
-            enrolled=record.enrolled,
-            sharing=record.sharing,
-            revised=record.revised,
-            switched_to_sharing=record.switched_to_sharing,
-            switched_to_freeloading=record.switched_to_freeloading,
-            mean_payoff_sharing=record.mean_payoff_sharing,
-            mean_payoff_freeloading=record.mean_payoff_freeloading,
-            phase=record.phase,
-        )
-
     def count(self, name: str, delta: int = 1) -> None:
         """Bump a free-form counter (ring attempts, token failures, ...)."""
         self.counters[name] += delta
@@ -650,7 +595,7 @@ class ColumnarCollector:
     def download_times_by_class(self, warmup: float = 0.0) -> Dict[str, List[float]]:
         """Download times (seconds) per population-class label.
 
-        Same fallback as the dataclass collector: unlabeled records read
+        Same fallback as the reference collector: unlabeled records read
         as sharer/freeloader.  Keys appear in first-occurrence order.
         """
         fold = self._download_fold
@@ -723,7 +668,7 @@ class ColumnarCollector:
     def session_aggregates(self, warmup: float) -> SessionAggregates:
         """Array-backed per-class/per-phase session reductions.
 
-        Matches the dataclass collector's record loop float for float:
+        Matches the reference collector's record loop float for float:
         grouped extractions preserve record order, key order is first
         occurrence, and volume sums are sequential left-folds over
         Python scalars (see the module docstring).  Under streaming
@@ -845,7 +790,3 @@ class ColumnarCollector:
             f"ColumnarCollector(sessions={len(self._sessions)}, "
             f"downloads={len(self._downloads)}, retention={self.retention!r})"
         )
-
-
-#: The selectable collector backends (see ``SimulationConfig.metrics_backend``).
-COLLECTOR_BACKENDS: Tuple[str, ...] = ("dataclass", "columnar")

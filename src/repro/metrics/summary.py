@@ -1,6 +1,6 @@
 """Run summaries: the numbers the paper's figures are made of.
 
-:func:`summarize` reduces a :class:`~repro.metrics.collectors.MetricsCollector`
+:func:`summarize` reduces a :class:`~repro.metrics.columnar.ColumnarCollector`
 to a :class:`SimulationSummary` holding exactly the quantities plotted in
 Figs. 4–12: per-class mean download times (minutes), exchange-session
 fraction, per-class session volumes and waiting times, and per-peer-class
@@ -11,16 +11,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.metrics.collectors import MetricsCollector
 from repro.metrics.columnar import ColumnarCollector
 from repro.units import kbit_to_mb, seconds_to_minutes
-
-#: Both collector backends expose the same summary-input surface
-#: (``session_aggregates``, the download-time views, ``strategy_epochs``
-#: and ``counters``); :func:`summarize` is backend-agnostic over them.
-AnyCollector = Union[MetricsCollector, ColumnarCollector]
 
 
 def _mean(values: List[float]) -> Optional[float]:
@@ -144,7 +138,7 @@ class SimulationSummary:
 
 
 def summarize(
-    collector: AnyCollector,
+    collector: ColumnarCollector,
     warmup: float,
     num_sharers: int,
     num_freeloaders: int,
@@ -165,10 +159,11 @@ def summarize(
     extracted volume, blacklist hit/evasion counts; ``None`` (every
     honest run) leaves them at their defaults.
 
-    Works identically over both collector backends: all per-record
-    reduction happens inside ``collector.session_aggregates`` and the
-    download-time views, which the backends implement equivalently
-    (records loop vs. columnar arrays — bit-identical by contract).
+    All per-record reduction happens inside
+    ``collector.session_aggregates`` and the download-time views, so
+    the tests' record-list reference collector summarizes through the
+    same code (records loop vs. columnar arrays — bit-identical by
+    contract).
     """
     sharer_times = collector.download_times(sharer=True, warmup=warmup)
     freeloader_times = collector.download_times(sharer=False, warmup=warmup)
@@ -244,7 +239,7 @@ def summarize(
 
     # Incentive robustness: split the per-class download times into the
     # honest crowd vs the attacker classes.  Labels are walked in sorted
-    # order so both collector backends concatenate identically.
+    # order so every collector concatenates identically.
     adversary_labels = sorted(adversary_classes) if adversary_classes else []
     adversary_volume_by_class: Dict[str, float] = {}
     honest_mean_min: Optional[float] = None

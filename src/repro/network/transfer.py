@@ -293,7 +293,7 @@ class Transfer:
     # ------------------------------------------------------------------
     def _record_session(self, reason: TerminationReason) -> None:
         kbit = self.session_blocks * self._ctx.config.block_size_kbit
-        # Scalar API: the columnar backend stores these directly without
+        # Scalar API: the columnar collector stores these directly without
         # materializing a SessionRecord per session.
         self._ctx.metrics.add_session(
             provider_id=self.provider.peer_id,

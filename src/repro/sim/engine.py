@@ -1,61 +1,31 @@
-"""Two-level bucketed discrete-event simulation engine.
+"""Heap-based discrete-event simulation engine.
 
-The engine is deliberately minimal: a clock, a pending-event store and a
-run loop.  Everything domain-specific (peers, transfers, rings) lives
-above it and interacts with the engine only through
-:meth:`Engine.schedule` / :meth:`Engine.schedule_at`.
+The engine is deliberately minimal: a clock, one binary heap of
+``(time, seq, event)`` entries and a run loop.  Everything
+domain-specific (peers, transfers, rings) lives above it and interacts
+with the engine only through :meth:`Engine.schedule` /
+:meth:`Engine.schedule_at`.
 
-The pending store is a calendar-style two-level structure instead of the
-single binary heap it replaced:
-
-* a **near-future ring** of ``ring_buckets`` buckets, each
-  ``bucket_width`` simulated seconds wide and holding a small
-  ``(time, seq, event)`` heap, covering the window the run loop is
-  about to drain, and
-* a **far-future heap** for everything beyond the ring's horizon,
-  migrated into the ring as the cursor advances.
-
-Per-event cost is therefore ``O(log bucket_occupancy)`` — a function of
-event *density*, not of the total pending population: at 50k peers the
-old heap held hundreds of thousands of entries and every push/pop paid
-``O(log total)``.
-
-Determinism guarantees (unchanged from the single-heap engine):
-
-* events fire in exactly the ``(time, seq)`` total order — equal times
-  fire in scheduling order — and the bucketing is provably
-  order-identical to one big heap (see ``docs/DETERMINISM.md``), and
-* the engine itself uses no randomness,
-
-so a simulation driven by a seeded :class:`~repro.sim.rng.RandomSource`
-replays exactly, event for event, across the scheduler generations.
+Events fire in exactly the ``(time, seq)`` total order (equal times fire
+in scheduling order) and the engine uses no randomness, so a simulation
+driven by a seeded :class:`~repro.sim.rng.RandomSource` replays exactly.
 
 Cancellation is **eagerly indexed**: every event knows its engine, so
 :meth:`~repro.sim.events.Event.cancel` notifies the engine immediately
 instead of leaving a tombstone for the run loop to trip over.  When
 cancelled entries outnumber live ones (past a small floor) the engine
-compacts the ring and the far heap in one sweep, so N cancellations cost
-O(N) amortized regardless of how many events are pending.
+compacts the heap in one sweep, so N cancellations cost O(N) amortized
+regardless of how many events are pending.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.counters import PerfCounters
 from repro.sim.events import Event
-
-#: Default near-future ring geometry.  The width must be a (negative)
-#: power of two: scaling a float by a power of two is exact, which makes
-#: the bucket-index arithmetic in :meth:`Engine._migrate` provably safe
-#: at the horizon boundary.  256 buckets x 1/64 s covers a 4 s window —
-#: transfers and coalesced passes land in the ring, periodic scans and
-#: storage checks wait in the far heap.
-_RING_BUCKETS = 256
-_BUCKET_WIDTH = 1.0 / 64.0
 
 #: Cancelled entries tolerated before a compaction sweep may trigger
 #: (it still requires cancelled > live).  Mirrors the IRQ's compaction
@@ -66,59 +36,30 @@ _PURGE_FLOOR = 64
 class Engine:
     """Discrete-event scheduler with a floating-point clock in seconds.
 
-    Buckets hold ``(time, seq, event)`` tuples rather than bare events:
-    tuple comparison runs in C, and with millions of heap operations per
-    run the Python-level ``Event.__lt__`` dispatch was a measurable
-    slice of the whole simulation.  The ordering is (time, seq) — the
-    same total order the single-heap engine implemented.
+    The heap holds ``(time, seq, event)`` tuples rather than bare
+    events: tuple comparison runs in C, and with millions of heap
+    operations per run the Python-level ``Event.__lt__`` dispatch was a
+    measurable slice of the whole simulation.
     """
 
     def __init__(
-        self,
-        start_time: float = 0.0,
-        *,
-        ring_buckets: int = _RING_BUCKETS,
-        bucket_width: float = _BUCKET_WIDTH,
-        counters: Optional[PerfCounters] = None,
+        self, start_time: float = 0.0, *, counters: Optional[PerfCounters] = None
     ) -> None:
-        if ring_buckets < 1:
-            raise SimulationError(f"ring_buckets must be >= 1, got {ring_buckets}")
-        if bucket_width <= 0.0:
-            raise SimulationError(f"bucket_width must be > 0, got {bucket_width}")
-        mantissa, _exponent = math.frexp(bucket_width)
-        if mantissa != 0.5:
-            raise SimulationError(
-                f"bucket_width must be a power of two, got {bucket_width} "
-                "(exact float scaling keeps horizon arithmetic lossless)"
-            )
         self._now = float(start_time)
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._fired = 0
         self._cancelled_skipped = 0
         self._purge_ops = 0
         self._compactions = 0
         self._running = False
-        self._ring_len = int(ring_buckets)
-        self._width = float(bucket_width)
-        self._inv_width = 1.0 / self._width
-        self._ring: List[List[Tuple[float, int, Event]]] = [
-            [] for _ in range(self._ring_len)
-        ]
-        #: Absolute bucket number the run loop is draining; buckets below
-        #: the cursor are empty forever.
-        self._cursor = int(math.floor(self._now * self._inv_width))
-        self._ring_count = 0
-        self._far: List[Tuple[float, int, Event]] = []
-        #: Pending non-cancelled events (the store may briefly hold more
+        #: Pending non-cancelled events (the heap may briefly hold more
         #: entries than this: cancelled ones awaiting purge).
         self._live = 0
-        #: Cancelled entries still inside the ring / far heap.
+        #: Cancelled entries still inside the heap.
         self._cancelled_pending = 0
         self.counters = counters if counters is not None else PerfCounters()
 
-    # ------------------------------------------------------------------
-    # clock
-    # ------------------------------------------------------------------
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
@@ -131,12 +72,12 @@ class Engine:
 
     @property
     def events_pending(self) -> int:
-        """Number of events still stored (including cancelled ones)."""
-        return self._ring_count + len(self._far)
+        """Number of events still in the heap (including cancelled ones)."""
+        return len(self._heap)
 
     @property
     def cancelled_skipped(self) -> int:
-        """Number of cancelled events discarded (scans + compactions)."""
+        """Number of cancelled events discarded (pops + compactions)."""
         return self._cancelled_skipped
 
     @property
@@ -154,14 +95,8 @@ class Engine:
         """Number of eager compaction sweeps performed."""
         return self._compactions
 
-    # ------------------------------------------------------------------
-    # scheduling
-    # ------------------------------------------------------------------
     def schedule(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        name: Optional[str] = None,
+        self, delay: float, callback: Callable[[], None], name: Optional[str] = None
     ) -> Event:
         """Schedule ``callback`` to fire ``delay`` seconds from now.
 
@@ -176,10 +111,7 @@ class Engine:
         return self.schedule_at(self._now + delay, callback, name)
 
     def schedule_at(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        name: Optional[str] = None,
+        self, time: float, callback: Callable[[], None], name: Optional[str] = None
     ) -> Event:
         """Schedule ``callback`` at absolute simulated ``time``."""
         if time < self._now:
@@ -189,100 +121,28 @@ class Engine:
             )
         seq = self._seq
         event = Event(time, seq, callback, name, engine=self)
-        bucket = int(time * self._inv_width)
-        if time < 0.0 and bucket * self._width > time:
-            bucket -= 1  # int() truncates toward zero; buckets floor
-        if bucket < self._cursor:
-            # Float-boundary safety: time >= now keeps (time, seq) order
-            # inside the cursor bucket, and every earlier bucket is
-            # already empty forever, so adopting the cursor bucket
-            # cannot reorder anything (docs/DETERMINISM.md).
-            bucket = self._cursor
-        entry = (time, seq, event)
-        if bucket - self._cursor < self._ring_len:
-            heapq.heappush(self._ring[bucket % self._ring_len], entry)  # simlint: disable=SCH001 -- this IS the seq-tie-break API every other push must go through (near-future ring level)
-            self._ring_count += 1
-        else:
-            heapq.heappush(self._far, entry)  # simlint: disable=SCH001 -- this IS the seq-tie-break API every other push must go through (far-future level)
+        heapq.heappush(self._heap, (time, seq, event))  # simlint: disable=SCH001 -- this IS the seq-tie-break API every other push must go through
         self._seq = seq + 1
         self._live += 1
         return event
 
-    # ------------------------------------------------------------------
-    # two-level store internals
-    # ------------------------------------------------------------------
-    def _migrate(self) -> None:
-        """Pull far-heap events that now fall inside the ring horizon.
-
-        With a power-of-two bucket width, ``t < horizon`` implies
-        ``int(t * inv_width) <= cursor + ring_len - 1`` exactly (both
-        sides scale by ``inv_width`` without rounding), so a migrated
-        entry always lands inside the ring window.
-        """
-        far = self._far
-        if not far:
-            return
-        horizon = (self._cursor + self._ring_len) * self._width
-        if far[0][0] >= horizon:
-            return
-        ring = self._ring
-        ring_len = self._ring_len
-        cursor = self._cursor
-        inv_width = self._inv_width
-        while far and far[0][0] < horizon:
-            entry = heapq.heappop(far)
-            if entry[2]._cancelled:
-                self._cancelled_pending -= 1
-                self._cancelled_skipped += 1
-                self._purge_ops += 1
-                continue
-            bucket = int(entry[0] * inv_width)
-            if bucket < cursor:
-                bucket = cursor
-            heapq.heappush(ring[bucket % ring_len], entry)  # simlint: disable=SCH001 -- internal level migration: entries were stamped by schedule_at, (time, seq) payloads are preserved verbatim
-            self._ring_count += 1
-
-    def _current_slot(self) -> Optional[List[Tuple[float, int, Event]]]:
-        """The bucket holding the next live event (head purged), or None.
-
-        Advances the cursor over empty buckets; when the ring is empty
-        the cursor jumps straight to the far heap's first bucket instead
-        of walking the gap one bucket at a time.
-        """
-        ring = self._ring
-        ring_len = self._ring_len
-        while True:
-            slot = ring[self._cursor % ring_len]
-            while slot:
-                if slot[0][2]._cancelled:
-                    heapq.heappop(slot)
-                    self._ring_count -= 1
-                    self._cancelled_pending -= 1
-                    self._cancelled_skipped += 1
-                    self._purge_ops += 1
-                    continue
-                return slot
-            if self._ring_count:
-                self._cursor += 1
-                self._migrate()
-                continue
-            far = self._far
-            while far and far[0][2]._cancelled:
-                heapq.heappop(far)
-                self._cancelled_pending -= 1
-                self._cancelled_skipped += 1
-                self._purge_ops += 1
-            if not far:
-                return None
-            bucket = int(far[0][0] * self._inv_width)
-            if bucket > self._cursor:
-                self._cursor = bucket
-            self._migrate()
+    def _head(self) -> Optional[Tuple[float, int, Event]]:
+        """The next live heap entry (cancelled heads discarded), or None."""
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if not entry[2]._cancelled:
+                return entry
+            heapq.heappop(heap)
+            self._cancelled_pending -= 1
+            self._cancelled_skipped += 1
+            self._purge_ops += 1
+        return None
 
     def _note_cancelled(self) -> None:
         """Eager-cancellation hook called by :meth:`Event.cancel`.
 
-        Keeps the live count exact and compacts the store once cancelled
+        Keeps the live count exact and compacts the heap once cancelled
         entries outnumber live ones (beyond a small floor), so mass
         cancellation never leaves an O(pending) tombstone field for the
         run loop to wade through.
@@ -296,41 +156,22 @@ class Engine:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop every cancelled entry from the ring and the far heap."""
-        removed = 0
-        ring = self._ring
-        for index, slot in enumerate(ring):
-            if not slot:
-                continue
-            kept = [entry for entry in slot if not entry[2]._cancelled]
-            dropped = len(slot) - len(kept)
-            if dropped:
-                heapq.heapify(kept)
-                ring[index] = kept
-                removed += dropped
-        self._ring_count -= removed
-        far = self._far
-        kept_far = [entry for entry in far if not entry[2]._cancelled]
-        dropped_far = len(far) - len(kept_far)
-        if dropped_far:
-            heapq.heapify(kept_far)
-            self._far = kept_far
-        removed += dropped_far
+        """Drop every cancelled entry from the heap."""
+        heap = self._heap
+        kept = [entry for entry in heap if not entry[2]._cancelled]
+        removed = len(heap) - len(kept)
+        heapq.heapify(kept)
+        self._heap = kept
         self._cancelled_skipped += removed
         self._cancelled_pending -= removed
         self._purge_ops += removed
         self._compactions += 1
 
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
     def step(self) -> Optional[Event]:
         """Fire the next non-cancelled event; return it, or None if empty."""
-        slot = self._current_slot()
-        if slot is None:
+        if self._head() is None:
             return None
-        event = heapq.heappop(slot)[2]
-        self._ring_count -= 1
+        event = heapq.heappop(self._heap)[2]
         self._live -= 1
         event.engine = None  # fired: a late cancel must not re-account it
         self._now = event.time
@@ -356,7 +197,7 @@ class Engine:
 
         Returns the number of events fired by this call.  At least one
         of ``until`` / ``max_events`` must be given, otherwise the loop
-        could only end by draining the store — usually a hang in a
+        could only end by draining the heap — usually a hang in a
         self-rescheduling simulation.
         """
         if until is None and max_events is None:
@@ -373,17 +214,19 @@ class Engine:
             while self._live:
                 if max_events is not None and fired >= max_events:
                     break
-                slot = self._current_slot()
-                if slot is None:
+                # Re-read every pass: a callback's cancel may compact
+                # the heap into a new list.
+                heap = self._heap
+                time, _seq, head = heap[0]
+                if head._cancelled:
+                    self._head()  # discard the cancelled run at the top
+                    continue
+                if until is not None and time > until:
                     break
-                head = slot[0][2]
-                if until is not None and head.time > until:
-                    break
-                heappop(slot)
-                self._ring_count -= 1
+                heappop(heap)
                 self._live -= 1
                 head.engine = None  # fired: a late cancel must not re-account it
-                self._now = head.time
+                self._now = time
                 self._fired += 1
                 fired += 1
                 if counting:
@@ -404,10 +247,8 @@ class Engine:
 
     def peek_time(self) -> Optional[float]:
         """Fire time of the next pending event, skipping cancelled ones."""
-        slot = self._current_slot()
-        if slot is None:
-            return None
-        return slot[0][0]
+        head = self._head()
+        return None if head is None else head[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

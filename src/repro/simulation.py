@@ -44,7 +44,8 @@ from repro.context import SimContext
 from repro.core.policies import ExchangePolicy, parse_mechanism
 from repro.errors import SimulationError
 from repro.core.disciplines import make_discipline
-from repro.metrics.summary import AnyCollector, SimulationSummary, summarize
+from repro.metrics.columnar import ColumnarCollector
+from repro.metrics.summary import SimulationSummary, summarize
 from repro.network.lookup import LookupService
 from repro.network.peer import Peer
 from repro.population import (
@@ -64,7 +65,7 @@ class SimulationResult:
 
     config: SimulationConfig
     summary: SimulationSummary
-    metrics: AnyCollector
+    metrics: ColumnarCollector
     events_fired: int
     wall_seconds: float
     #: JSON-ready perf-counter snapshot (``ctx.counters.snapshot()``) —

@@ -256,7 +256,7 @@ class StrategyDirector:
         windows = self._windows
         last_switch = self._last_switch
         # Incremental row feeds: scalar tuples rather than record objects,
-        # so the columnar backend never materializes dataclasses here.
+        # so the columnar collector never materializes dataclasses here.
         num_downloads = metrics.num_downloads
         for peer_id, request_time, complete_time, download_time in (
             metrics.download_rows_since(self._download_index)

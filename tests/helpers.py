@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from repro.config import SimulationConfig
 from repro.content.catalog import Catalog, Category, ContentObject
 from repro.context import SimContext
+from repro.metrics.records import SessionRecord
 from repro.network.behaviors import FREELOADER, SHARER
 from repro.network.lookup import LookupService
 
@@ -124,3 +126,13 @@ def drain(ctx, until=None, max_events=100_000):
     if until is None:
         until = ctx.engine.now
     ctx.engine.run(until=until, max_events=max_events)
+
+
+def add_record(collector, record) -> None:
+    """Feed a hand-built session or download record to a collector.
+
+    Collectors take scalars (``add_session`` / ``add_download``); this
+    spreads the record's fields into the matching call.
+    """
+    add = collector.add_session if isinstance(record, SessionRecord) else collector.add_download
+    add(**{f.name: getattr(record, f.name) for f in dataclasses.fields(record)})

@@ -1,9 +1,11 @@
-"""Central metrics collector.
+"""Reference metrics collector: one dataclass record per measurement.
 
-The collector is an append-only sink shared by every peer and transfer.
-It records everything with timestamps; filtering to the measurement
-window (post-warmup) is applied in :mod:`repro.metrics.summary`, so a
-single run can be re-summarized with different windows.
+:class:`MetricsCollector` is the historical record-list layout the
+runtime :class:`~repro.metrics.columnar.ColumnarCollector` must match
+byte for byte.  It lives with the tests, not in the package: nothing
+in a simulation constructs it.  ``test_collector_equivalence.py``
+feeds both collectors the same record stream (or injects this one into
+a simulation's context) and compares every view and the summary JSON.
 """
 
 from __future__ import annotations
@@ -24,9 +26,6 @@ from repro.metrics.records import (
 
 class MetricsCollector:
     """Append-only store of session and download records plus counters."""
-
-    #: Backend label, published into benchmark artifacts.
-    backend_name = "dataclass"
 
     def __init__(self) -> None:
         self.sessions: List[SessionRecord] = []
@@ -68,9 +67,8 @@ class MetricsCollector:
         self.counters[name] += delta
 
     # ------------------------------------------------------------------
-    # recording — scalar API (shared with the columnar backend, which
-    # uses it to skip the per-record dataclass allocation entirely; here
-    # it simply builds the record and delegates)
+    # recording — the columnar collector's scalar API; here it simply
+    # builds the record and delegates
     # ------------------------------------------------------------------
     def add_session(
         self,
@@ -237,9 +235,8 @@ class MetricsCollector:
         """Per-class/per-phase reductions over post-warmup sessions.
 
         The historical :func:`~repro.metrics.summary.summarize` record
-        loop, moved behind the collector so the columnar backend can
-        produce the same aggregates from arrays.  Computation order is
-        frozen — the columnar backend reproduces it bit for bit.
+        loop.  Computation order is frozen — the columnar collector
+        reproduces it bit for bit from arrays.
         """
         agg = SessionAggregates()
         for session in self.sessions_after(warmup):
@@ -295,8 +292,8 @@ class MetricsCollector:
         """``(requester_id, request_time, end_time, is_exchange)`` rows.
 
         Rows ``start..`` in record order; the strategy layer's epoch
-        ingestion consumes these so both collector backends feed it the
-        same scalars.
+        ingestion consumes these, so this collector and the columnar one
+        feed it the same scalars.
         """
         return (
             (s.requester_id, s.request_time, s.end_time, s.traffic_class.is_exchange)

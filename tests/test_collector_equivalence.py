@@ -1,19 +1,19 @@
-"""Collector backend equivalence: columnar vs dataclass, bit for bit.
+"""Collector equivalence: columnar vs the dataclass reference, bit for bit.
 
-The columnar backend's whole contract is *invisibility*: any run
+The columnar collector's whole contract is *invisibility*: any run
 summarized through :class:`~repro.metrics.columnar.ColumnarCollector`
 must produce output byte-identical to the historical dataclass
-collector — every float (same IEEE ops in the same order), every dict
+collector (kept in ``tests/reference_collector.py``) — every float (same IEEE ops in the same order), every dict
 key (same first-occurrence order), every by-class/by-phase/by-epoch
 breakdown.  Two layers of evidence:
 
 * a hypothesis property over synthetic record streams, feeding both
-  backends the same scalars and comparing every view plus the full
+  collectors the same scalars and comparing every view plus the full
   ``summarize()`` dict serialized to JSON (key order included);
 * end-to-end runs at (shortened) smoke scale across mechanisms, a
   scenario timeline, and strategy dynamics, comparing the summary
-  JSON and the counters of a dataclass-backend run against a
-  columnar-backend run of the same config.
+  JSON and the counters of a run with the reference collector injected
+  into its context against a default (columnar) run of the same config.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ from repro.experiments.presets import (
     flash_crowd_scenario,
     preset,
 )
-from repro.metrics.collectors import MetricsCollector
 from repro.metrics.columnar import ColumnarCollector
 from repro.metrics.records import TerminationReason, TrafficClass
 from repro.metrics.summary import summarize
-from repro.simulation import run_simulation
+from repro.simulation import FileSharingSimulation, run_simulation
 from repro.strategy import StrategySpec
+from tests.reference_collector import MetricsCollector
 
 CLASSES = list(TrafficClass)
 REASONS = list(TerminationReason)
@@ -225,12 +225,11 @@ def _shrunk_smoke(**overrides):
 
 
 def _run_both(config):
-    columnar = run_simulation(
-        dataclasses.replace(config, metrics_backend="columnar")
-    )
-    dataclass_run = run_simulation(
-        dataclasses.replace(config, metrics_backend="dataclass")
-    )
+    columnar = run_simulation(config)
+    # Inject before build(): every component reads ctx.metrics from there.
+    sim = FileSharingSimulation(config)
+    sim.ctx.metrics = MetricsCollector()
+    dataclass_run = sim.run()
     return columnar, dataclass_run
 
 
@@ -253,8 +252,7 @@ CELLS = {
             window=3_000.0,
         ),
     ),
-    # Adversarial cells (ISSUE 10): every attack must be
-    # backend-invariant too.
+    # Adversarial cells: every attack must be collector-invariant too.
     "adversarial-whitewash": lambda: _shrunk_adversarial("credit", "whitewash"),
     "adversarial-sybil": lambda: _shrunk_adversarial("participation", "sybil"),
     "adversarial-collusion": lambda: _shrunk_adversarial("exchange", "collusion"),
@@ -276,9 +274,9 @@ def _shrunk_adversarial(mechanism, attack, retention="full"):
 def test_end_to_end_runs_identical(cell):
     config = CELLS[cell]()
     columnar, dataclass_run = _run_both(config)
-    assert columnar.metrics.backend_name == "columnar"
-    assert dataclass_run.metrics.backend_name == "dataclass"
-    # Identical trajectory: the backend must not touch the event stream.
+    assert isinstance(columnar.metrics, ColumnarCollector)
+    assert isinstance(dataclass_run.metrics, MetricsCollector)
+    # Identical trajectory: the collector must not touch the event stream.
     assert columnar.events_fired == dataclass_run.events_fired
     assert dict(columnar.metrics.counters) == dict(dataclass_run.metrics.counters)
     # Identical summaries, serialization order included.

@@ -249,19 +249,25 @@ class TestCancellation:
 class TestPropertyBased:
     @given(
         delays=st.lists(
-            st.floats(min_value=0.0, max_value=1000.0, allow_nan=False),
+            st.one_of(
+                # A small set forces equal fire times, so the seq
+                # tie-break is exercised, not just the time order.
+                st.sampled_from([0.0, 0.25, 1.0, 3.0, 1000.0]),
+                st.floats(min_value=0.0, max_value=1000.0, allow_nan=False),
+            ),
             min_size=1,
             max_size=50,
         )
     )
     def test_firing_times_are_sorted(self, delays):
         engine = Engine()
-        times = []
-        for delay in delays:
-            engine.schedule(delay, lambda: times.append(engine.now))
+        fired = []
+        for index, delay in enumerate(delays):
+            engine.schedule(delay, lambda i=index: fired.append((engine.now, i)))
         engine.run(until=1001.0)
-        assert times == sorted(times)
-        assert len(times) == len(delays)
+        # The full (time, scheduling-index) order: ties fire in the
+        # order they were scheduled.
+        assert fired == sorted((delay, index) for index, delay in enumerate(delays))
 
     @given(
         delays=st.lists(

@@ -68,8 +68,6 @@ def mutate(value, field: dataclasses.Field):
         return "credit" if value != "credit" else "participation"
     if name == "ring_break_policy":
         return "downgrade" if value != "downgrade" else "terminate"
-    if name == "metrics_backend":
-        return "dataclass" if value != "dataclass" else "columnar"
     if name == "rule":
         return "epsilon-greedy" if value != "epsilon-greedy" else "imitate"
     if name == "behavior":

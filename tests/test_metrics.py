@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import MetricsError
 from repro.metrics.cdf import EmpiricalCDF
-from repro.metrics.collectors import MetricsCollector
+from repro.metrics.columnar import ColumnarCollector
 from repro.metrics.records import (
     DownloadRecord,
     SessionRecord,
@@ -15,6 +15,7 @@ from repro.metrics.records import (
     TrafficClass,
 )
 from repro.metrics.summary import SimulationSummary, summarize
+from tests.helpers import add_record
 
 
 def session(
@@ -102,31 +103,31 @@ class TestRecords:
 
 class TestCollector:
     def test_counts_by_class_and_reason(self):
-        collector = MetricsCollector()
-        collector.record_session(session())
-        collector.record_session(session(traffic=TrafficClass.PAIRWISE, ring_size=2))
+        collector = ColumnarCollector()
+        add_record(collector, session())
+        add_record(collector, session(traffic=TrafficClass.PAIRWISE, ring_size=2))
         assert collector.counters["session.non-exchange"] == 1
         assert collector.counters["session.pairwise"] == 1
         assert collector.reason_counts()[TerminationReason.COMPLETED] == 2
 
     def test_warmup_filters_by_end_time(self):
-        collector = MetricsCollector()
-        collector.record_session(session(start=1.0, end=5.0))
-        collector.record_session(session(start=1.0, end=50.0))
+        collector = ColumnarCollector()
+        add_record(collector, session(start=1.0, end=5.0))
+        add_record(collector, session(start=1.0, end=50.0))
         assert len(collector.sessions_after(10.0)) == 1
 
     def test_download_times_filtered_by_class(self):
-        collector = MetricsCollector()
-        collector.record_download(download(sharer=True, complete=60.0))
-        collector.record_download(download(sharer=False, complete=120.0))
+        collector = ColumnarCollector()
+        add_record(collector, download(sharer=True, complete=60.0))
+        add_record(collector, download(sharer=False, complete=120.0))
         assert collector.download_times(sharer=True) == [60.0]
         assert collector.download_times(sharer=False) == [120.0]
         assert len(collector.download_times()) == 2
 
     def test_sessions_by_class(self):
-        collector = MetricsCollector()
-        collector.record_session(session())
-        collector.record_session(session(traffic=TrafficClass.PAIRWISE, ring_size=2))
+        collector = ColumnarCollector()
+        add_record(collector, session())
+        add_record(collector, session(traffic=TrafficClass.PAIRWISE, ring_size=2))
         grouped = collector.sessions_by_class()
         assert len(grouped[TrafficClass.NON_EXCHANGE]) == 1
         assert len(grouped[TrafficClass.PAIRWISE]) == 1
@@ -185,13 +186,13 @@ class TestEmpiricalCDF:
 
 class TestSummarize:
     def test_headline_numbers(self):
-        collector = MetricsCollector()
-        collector.record_download(download(sharer=True, complete=60.0))
-        collector.record_download(download(sharer=True, complete=120.0))
-        collector.record_download(download(sharer=False, complete=360.0))
-        collector.record_session(session(sharer=True))
-        collector.record_session(
-            session(traffic=TrafficClass.PAIRWISE, ring_size=2, sharer=False)
+        collector = ColumnarCollector()
+        add_record(collector, download(sharer=True, complete=60.0))
+        add_record(collector, download(sharer=True, complete=120.0))
+        add_record(collector, download(sharer=False, complete=360.0))
+        add_record(collector, session(sharer=True))
+        add_record(
+            collector, session(traffic=TrafficClass.PAIRWISE, ring_size=2, sharer=False)
         )
         summary = summarize(collector, warmup=0.0, num_sharers=2, num_freeloaders=2)
         assert summary.mean_download_time_sharers_min == pytest.approx(1.5)
@@ -201,7 +202,7 @@ class TestSummarize:
         assert summary.completed_downloads_sharers == 2
 
     def test_empty_run_yields_nones(self):
-        summary = summarize(MetricsCollector(), warmup=0.0, num_sharers=1, num_freeloaders=1)
+        summary = summarize(ColumnarCollector(), warmup=0.0, num_sharers=1, num_freeloaders=1)
         assert summary.mean_download_time_sharers_min is None
         assert summary.exchange_session_fraction is None
         assert summary.speedup_sharers_vs_freeloaders is None
@@ -232,9 +233,9 @@ class TestSummarize:
         assert self._summary_with_means(5.0, None).speedup_sharers_vs_freeloaders is None
 
     def test_summary_dict_roundtrip(self):
-        collector = MetricsCollector()
-        collector.record_download(download(sharer=True, complete=60.0))
-        collector.record_session(session(sharer=True))
+        collector = ColumnarCollector()
+        add_record(collector, download(sharer=True, complete=60.0))
+        add_record(collector, session(sharer=True))
         summary = summarize(collector, warmup=0.0, num_sharers=2, num_freeloaders=2)
         data = summary.to_dict()
         import json
@@ -247,15 +248,15 @@ class TestSummarize:
             SimulationSummary.from_dict({"definitely_not_a_field": 1})
 
     def test_warmup_censors_early_records(self):
-        collector = MetricsCollector()
-        collector.record_download(download(complete=5.0))
-        collector.record_download(download(complete=500.0))
+        collector = ColumnarCollector()
+        add_record(collector, download(complete=5.0))
+        add_record(collector, download(complete=500.0))
         summary = summarize(collector, warmup=100.0, num_sharers=1, num_freeloaders=1)
         assert summary.completed_downloads_sharers == 1
 
     def test_volume_per_class_normalized(self):
-        collector = MetricsCollector()
-        collector.record_session(session(kbit=8192.0, sharer=True))
+        collector = ColumnarCollector()
+        add_record(collector, session(kbit=8192.0, sharer=True))
         summary = summarize(collector, warmup=0.0, num_sharers=2, num_freeloaders=5)
         assert summary.volume_per_sharer_mb == pytest.approx(0.5)
         assert summary.volume_per_freeloader_mb == 0.0

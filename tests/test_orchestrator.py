@@ -96,8 +96,9 @@ class TestFingerprint:
     def test_scenario_cache_schema_bumped(self, tmp_path):
         """Entries written before the strategy layer (schema <= 3) are
         misses; the current stamp covers strategy-bearing summaries,
-        the retention/perf-counter knobs, and the adversary metrics."""
-        assert orchestrator.CACHE_SCHEMA_VERSION == 7
+        the retention/perf-counter knobs, the adversary metrics, and
+        configs without the removed metrics_backend field."""
+        assert orchestrator.CACHE_SCHEMA_VERSION == 8
         cache = ResultCache(str(tmp_path))
         plain = tiny_config()
         cache.store(plain, fake_summary())

@@ -228,7 +228,7 @@ class TestHOT001:
         )
         assert findings == []
 
-    def test_record_compat_call_is_flagged(self, tmp_path):
+    def test_record_constructor_is_flagged(self, tmp_path):
         findings = lint(
             tmp_path,
             """\
@@ -236,14 +236,13 @@ class TestHOT001:
                 engine.schedule(1.0, worker)
 
             def worker(metrics):
-                metrics.record_session(SessionRecord(1, 2.0))
+                metrics.add_session(SessionRecord(1, 2.0))
             """,
             ["HOT001"],
             name="strategy.py",
         )
-        assert sorted(f.message for f in findings)
-        assert len(findings) == 2  # the shim call and the record ctor
-        assert all(f.rule == "HOT001" for f in findings)
+        assert [f.rule for f in findings] == ["HOT001"]
+        assert "'SessionRecord'" in findings[0].message
 
     def test_suppression_with_reason_is_honored(self, tmp_path):
         findings = lint(

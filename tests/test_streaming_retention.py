@@ -202,12 +202,6 @@ class TestGuards:
 
 
 class TestConfigGates:
-    def test_streaming_requires_columnar_backend(self):
-        with pytest.raises(ConfigError, match="columnar"):
-            SimulationConfig(
-                metrics_backend="dataclass", metrics_retention="streaming"
-            )
-
     def test_streaming_rejects_global_strategy_dynamics(self):
         with pytest.raises(ConfigError, match="strategy"):
             SimulationConfig(
@@ -299,9 +293,7 @@ def test_adversarial_cells_streaming_identical_to_full(cell):
     mechanism, attack = cell
     full_run = run_simulation(_shrunk_adversarial(mechanism, attack))
     streaming_run = run_simulation(
-        _shrunk_adversarial(mechanism, attack, retention="streaming").replace(
-            metrics_backend="columnar"
-        )
+        _shrunk_adversarial(mechanism, attack, retention="streaming")
     )
     assert streaming_run.events_fired == full_run.events_fired
     assert dict(streaming_run.metrics.counters) == dict(full_run.metrics.counters)
