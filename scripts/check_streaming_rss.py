@@ -29,7 +29,6 @@ Usage (CI runs the huge preset)::
 from __future__ import annotations
 
 import argparse
-import gc
 import resource
 import sys
 from typing import List, Optional
@@ -72,6 +71,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"max-growth must be >= 1, got {args.max_growth}")
 
     from repro.experiments.presets import preset
+    from repro.sim import gc_policy
     from repro.simulation import FileSharingSimulation
 
     config = preset(
@@ -88,18 +88,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{args.retention} retention): peak RSS {built_rss:.0f}MB"
     )
 
-    # Mirror FileSharingSimulation.run(): freeze the built world out of
-    # the cyclic collector for the duration of the event loop.
+    # The event loop under the collector policy FileSharingSimulation.run()
+    # uses, so the RSS measured here is the RSS a real run has.
     checkpoint_time = args.checkpoint * config.duration
-    gc.collect()
-    gc.freeze()
-    try:
+    with gc_policy.run_phase():
         sim.ctx.engine.run(until=checkpoint_time)
         rss_checkpoint = peak_rss_mb()
         sim.ctx.engine.run(until=config.duration)
         rss_final = peak_rss_mb()
-    finally:
-        gc.unfreeze()
 
     fired = sim.ctx.engine.events_fired
     growth = rss_final / rss_checkpoint

@@ -15,6 +15,8 @@ DET003    no wall-clock reads outside explicitly annotated measurement
           sites
 SCH001    events enter the engine heap only via the seq-tie-break API,
           never raw ``heapq.heappush``
+GC001     cyclic-collector state changes only in the one policy module,
+          ``repro/sim/gc_policy.py`` (and in ``scripts/``)
 FPR001    every spec dataclass reachable from ``SimulationConfig`` is
           fully covered by the cache fingerprint
 ========  =============================================================
@@ -33,6 +35,7 @@ documentation of the exemption.
 from __future__ import annotations
 
 import ast
+import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -91,6 +94,14 @@ WALL_CLOCK_FROM_IMPORTS = {
         "process_time_ns",
     },
 }
+
+#: ``gc`` functions that change collector state, banned by GC001.
+GC_STATE_CALLS = frozenset(
+    {"disable", "enable", "freeze", "unfreeze", "set_threshold", "collect"}
+)
+#: Basename of the one module allowed to call them.  Matching on the
+#: basename (as HOT001 does) keeps the rule testable on fixture trees.
+GC_POLICY_BASENAME = "gc_policy.py"
 
 #: Annotation identifiers FPR001 accepts without further analysis.
 FINGERPRINT_SAFE_NAMES = frozenset(
@@ -558,6 +569,59 @@ class RawHeappushRule(Rule):
                             node,
                             "from-import of heappush — push through the engine's "
                             "seq-tie-break API instead",
+                        )
+                    )
+        return findings
+
+
+@register_rule
+class CollectorStateRule(Rule):
+    """GC001: collector state changes only in the collector-policy module."""
+
+    name = "GC001"
+    summary = "no gc.collect/disable/enable/freeze/unfreeze/set_threshold outside gc_policy.py"
+    rationale = (
+        "The simulator has one cyclic-collector policy: collect around the "
+        "build with automatic collection off, then freeze the built world "
+        "and raise the gen-0 threshold for the event loop, restoring the "
+        "caller's state on exit.  A stray gc.disable() leaks into every "
+        "caller, a stray gc.collect() or gc.freeze() rescans or pins a "
+        "multi-million-object world, and either one silently moves the "
+        "numbers the benchmark measures.  Keeping every collector-state "
+        "call in repro/sim/gc_policy.py (scripts/ may drive it directly) "
+        "keeps the policy in one reviewable place.  Read-only calls "
+        "(isenabled, get_threshold, get_count, get_freeze_count) are fine."
+    )
+
+    def check_module(self, module: ParsedModule) -> Iterable[Finding]:
+        """Flag collector-state calls outside the policy module and scripts/."""
+        path = module.display_path
+        if os.path.basename(path) == GC_POLICY_BASENAME or "scripts" in path.split("/")[:-1]:
+            return []
+        findings: List[Finding] = []
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Call):
+                name = dotted_name(node.func)
+                if name is not None and name.startswith("gc.") and name[3:] in GC_STATE_CALLS:
+                    findings.append(
+                        _finding(
+                            self,
+                            module,
+                            node,
+                            f"{name}() changes collector state — go through "
+                            "repro.sim.gc_policy.build_phase/run_phase",
+                        )
+                    )
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                hits = sorted(a.name for a in node.names if a.name in GC_STATE_CALLS)
+                if hits:
+                    findings.append(
+                        _finding(
+                            self,
+                            module,
+                            node,
+                            f"from-import of collector-state call(s) {', '.join(hits)} "
+                            "— go through repro.sim.gc_policy",
                         )
                     )
         return findings

@@ -10,6 +10,7 @@ then an object from the category's rank distribution.
 
 from __future__ import annotations
 
+import bisect
 import random
 from typing import List, Sequence, Tuple
 
@@ -44,13 +45,21 @@ class InterestProfile:
             self._cumulative.append(acc)
         self._cumulative[-1] = 1.0
 
+    @property
+    def cumulative(self) -> List[float]:
+        """Cumulative preference bounds, ending at exactly 1.0 (read-only).
+
+        Index ``i`` of :attr:`category_ids` is drawn for a uniform
+        ``point`` when it is the first index with ``point < bound``.
+        """
+        return self._cumulative
+
     def choose_category(self, rand: random.Random) -> int:
         """Draw a category id from the local preference distribution."""
-        point = rand.random()
-        for index, bound in enumerate(self._cumulative):
-            if point < bound:
-                return self.category_ids[index]
-        return self.category_ids[-1]
+        # bisect_right is the first index whose bound exceeds the point,
+        # the same index a linear ``point < bound`` scan stops at.
+        index = bisect.bisect_right(self._cumulative, rand.random())
+        return self.category_ids[min(index, len(self.category_ids) - 1)]
 
     def with_category(
         self, category_id: int, boost: float = 1.0

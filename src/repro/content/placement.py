@@ -11,6 +11,7 @@ number of attempts handles small categories gracefully.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from typing import List
 
 from repro.content.catalog import Catalog
@@ -41,13 +42,27 @@ def place_objects_for_peer(
     placed: List[int] = []
     attempts = 0
     budget = max(target, 1) * _MAX_ATTEMPTS_PER_SLOT
-    while len(store) < target and attempts < budget:
+    # Each attempt is InterestProfile.choose_category followed by
+    # RankPopularity.sample_index over the category's objects, inlined
+    # over tables resolved once per call (not cached across calls: a
+    # flash-crowd injection may resize a category mid-run).  The draws
+    # and bisects are exactly theirs, so the RNG stream is unchanged;
+    # their end clamps never fire, since random() < 1.0 == bounds[-1].
+    tables = []
+    for category_id in profile.category_ids:
+        objects = catalog.category(category_id).objects
+        ranks = popularity_cache.get(len(objects), object_factor).cumulative
+        tables.append((ranks, objects))
+    bounds = profile.cumulative
+    draw = rand.random
+    missing = target - len(store)
+    while missing > 0 and attempts < budget:
         attempts += 1
-        category = catalog.category(profile.choose_category(rand))
-        distribution = popularity_cache.get(category.size, object_factor)
-        obj = category.objects[distribution.sample_index(rand)]
-        if store.add_if_absent(obj.object_id):
-            placed.append(obj.object_id)
+        ranks, objects = tables[bisect_right(bounds, draw())]
+        object_id = objects[bisect_left(ranks, draw())].object_id
+        if store.add_if_absent(object_id):
+            placed.append(object_id)
+            missing -= 1
     return placed
 
 

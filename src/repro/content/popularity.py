@@ -50,6 +50,15 @@ class RankPopularity:
             raise ConfigError(f"rank {rank} outside [1, {self.num_ranks}]")
         return self._probabilities[rank - 1]
 
+    @property
+    def cumulative(self) -> List[float]:
+        """Cumulative rank probabilities, ending at exactly 1.0 (read-only).
+
+        :meth:`sample_rank` draws index ``bisect_left(cumulative, point)``,
+        clamped to the last rank.
+        """
+        return self._cumulative
+
     def probabilities(self) -> List[float]:
         """All rank probabilities (copy), in rank order 1..n."""
         return list(self._probabilities)

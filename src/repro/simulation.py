@@ -28,7 +28,6 @@ Typical use::
 from __future__ import annotations
 
 import dataclasses
-import gc
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -55,6 +54,7 @@ from repro.population import (
     class_sizes,
 )
 from repro.scenario import ScenarioDirector
+from repro.sim import gc_policy
 from repro.sim.processes import PeriodicProcess
 from repro.strategy import StrategyDirector
 
@@ -245,10 +245,22 @@ class FileSharingSimulation:
 
     # ------------------------------------------------------------------
     def build(self) -> SimContext:
-        """Construct the whole system; idempotent guard against reuse."""
+        """Construct the whole system; idempotent guard against reuse.
+
+        Runs under :func:`repro.sim.gc_policy.build_phase`: the heap is
+        collected before and after, and automatic collection is off in
+        between, so the returned world is already collected.
+        """
         if self._built:
             raise SimulationError("simulation already built")
         self._built = True
+        with gc_policy.build_phase():
+            self._assemble()
+        return self.ctx
+
+    def _assemble(self) -> None:
+        """Catalog, lookup, peers, processes, bootstrap, then the
+        optional churn, scenario and strategy layers."""
         config = self.config
         ctx = self.ctx
         rng = ctx.rng
@@ -311,7 +323,6 @@ class FileSharingSimulation:
             director = self._ensure_strategy_director()
             for peer_id in range(config.num_peers):
                 director.enroll(ctx.peers[peer_id], class_of[peer_id].strategy)
-        return ctx
 
     # ------------------------------------------------------------------
     # world-mutation primitives (build-time loop and scenario runtime)
@@ -487,7 +498,13 @@ class FileSharingSimulation:
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
-        """Build (if needed), run to ``config.duration``, summarize."""
+        """Build (if needed), run to ``config.duration``, summarize.
+
+        The event loop runs under :func:`repro.sim.gc_policy.run_phase`:
+        everything alive when it starts — the built world, and any
+        garbage the caller made after :meth:`build` — stays frozen until
+        the loop ends; the caller's collector settings are restored.
+        """
         if self._ran:
             raise SimulationError("simulation already ran; build a new one")
         if not self._built:
@@ -497,16 +514,13 @@ class FileSharingSimulation:
         # never feeds simulation state, which advances on engine time.
         started = time.perf_counter()  # simlint: disable=DET003 -- sanctioned wall-time measurement of the run itself
         # The built world (peers, stores, catalog — millions of objects
-        # at scale) is long-lived: freeze it out of the cyclic collector
-        # so every mid-run full collection stops re-tracing it.  GC
-        # timing is invisible to the simulation (no RNG, no scheduling),
-        # so this cannot move the trajectory.
-        gc.collect()
-        gc.freeze()
-        try:
+        # at scale) is long-lived and build() left it collected: freeze
+        # it out of the cyclic collector so no mid-run collection
+        # re-traces it, and collect the young generation less often.
+        # GC timing is invisible to the simulation (no RNG, no
+        # scheduling), so this cannot move the trajectory.
+        with gc_policy.run_phase():
             self.ctx.engine.run(until=self.config.duration)
-        finally:
-            gc.unfreeze()
         for process in self._processes:
             process.stop()
         wall = time.perf_counter() - started  # simlint: disable=DET003 -- sanctioned wall-time measurement of the run itself

@@ -646,3 +646,18 @@ class TestSeededViolations:
             """,
             "DET002",
         )
+
+    def test_seeded_gc001_in_peer(self, tmp_path, capsys):
+        # The CI negative: switching the collector off anywhere but the
+        # policy module leaks collector state into every caller.
+        self._assert_flags(
+            tmp_path,
+            capsys,
+            "network/peer.py",
+            """\
+
+            def _seeded_gc_switch():
+                gc.disable()
+            """,
+            "GC001",
+        )

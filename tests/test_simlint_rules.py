@@ -279,6 +279,48 @@ class TestSCH001RawHeappush:
         assert findings == []
 
 
+class TestGC001CollectorState:
+    def test_collector_state_calls_are_flagged(self, tmp_path):
+        findings = lint(
+            tmp_path,
+            """\
+            import gc
+            gc.disable()
+            gc.collect()
+            gc.freeze()
+            gc.unfreeze()
+            gc.set_threshold(10_000)
+            gc.enable()
+            """,
+            ["GC001"],
+        )
+        assert [f.rule for f in findings] == ["GC001"] * 6
+
+    def test_from_import_is_flagged(self, tmp_path):
+        findings = lint(tmp_path, "from gc import collect, get_count\n", ["GC001"])
+        assert [f.rule for f in findings] == ["GC001"]
+        assert "collect" in findings[0].message
+        assert "get_count" not in findings[0].message
+
+    def test_read_only_queries_stay_legal(self, tmp_path):
+        findings = lint(
+            tmp_path,
+            """\
+            import gc
+            state = (gc.isenabled(), gc.get_threshold(), gc.get_count())
+            frozen = gc.get_freeze_count()
+            """,
+            ["GC001"],
+        )
+        assert findings == []
+
+    def test_policy_module_and_scripts_are_exempt(self, tmp_path):
+        source = "import gc\ngc.disable()\ngc.collect()\n"
+        assert lint(tmp_path, source, ["GC001"], name="gc_policy.py") == []
+        (tmp_path / "scripts").mkdir()
+        assert lint(tmp_path, source, ["GC001"], name="scripts/check.py") == []
+
+
 FPR_PREAMBLE = """\
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Set

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.metrics.records import TerminationReason
+from repro.sim import gc_policy
 from repro.simulation import FileSharingSimulation, run_simulation
 
 from tests.helpers import small_config
@@ -194,3 +198,89 @@ class TestMechanismEffect:
         config = small_config(exchange_mechanism="2-5-way", serve_partial=True, seed=5)
         result = run_simulation(config)
         assert result.summary.completed_downloads_sharers > 0
+
+
+def _collector_state():
+    return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+
+@pytest.fixture
+def restore_collector():
+    """Put the collector back as it was, whatever a test did to it."""
+    state = _collector_state()
+    yield state
+    gc.set_threshold(*state[1])
+    gc.unfreeze()
+    if state[0]:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorPolicy:
+    """build()/run() apply the gc_policy brackets and leave the caller's
+    collector state exactly as they found it."""
+
+    def test_build_and_run_restore_collector_state(self, restore_collector):
+        before = restore_collector
+        sim = FileSharingSimulation(small_config(duration=500.0, warmup=0.0))
+        sim.build()
+        assert _collector_state() == before
+        seen = []
+        sim.ctx.engine.schedule(
+            1.0, lambda: seen.append((gc.get_threshold(), gc.get_freeze_count()))
+        )
+        sim.run()
+        assert _collector_state() == before
+        assert gc.get_freeze_count() == 0
+        (threshold, frozen), = seen
+        assert threshold == (gc_policy.RUN_GEN0_THRESHOLD,) + before[1][1:]
+        assert frozen > 0
+
+    def test_failed_build_restores_collector_state(self, monkeypatch, restore_collector):
+        calls = []
+        create_peer = FileSharingSimulation._create_peer
+
+        def failing_third_call(self, peer_id, peer_class):
+            calls.append(peer_id)
+            if len(calls) == 3:
+                raise RuntimeError("planted build failure")
+            return create_peer(self, peer_id, peer_class)
+
+        monkeypatch.setattr(FileSharingSimulation, "_create_peer", failing_third_call)
+        with pytest.raises(RuntimeError, match="planted build failure"):
+            FileSharingSimulation(small_config()).build()
+        assert len(calls) == 3
+        assert _collector_state() == restore_collector
+        assert gc.get_freeze_count() == 0
+
+    def test_disabled_collector_stays_disabled(self, restore_collector):
+        gc.disable()
+        sim = FileSharingSimulation(small_config(duration=500.0, warmup=0.0))
+        sim.build()
+        assert not gc.isenabled()
+        sim.run()
+        assert not gc.isenabled()
+        assert gc.get_threshold() == restore_collector[1]
+        assert gc.get_freeze_count() == 0
+
+    def test_build_frees_an_earlier_dead_world(self, monkeypatch, restore_collector):
+        first = FileSharingSimulation(small_config(duration=500.0, warmup=0.0))
+        first.run()
+        dead_ctx = weakref.ref(first.ctx)
+        # With automatic collection off, only the collect at the start
+        # of the next build() can free the first world's cycles.
+        gc.disable()
+        del first
+        assert dead_ctx() is not None, "the world is cyclic: only a collection frees it"
+        freed_at_first_peer = []
+        create_peer = FileSharingSimulation._create_peer
+
+        def probe(self, peer_id, peer_class):
+            if not freed_at_first_peer:
+                freed_at_first_peer.append(dead_ctx() is None)
+            return create_peer(self, peer_id, peer_class)
+
+        monkeypatch.setattr(FileSharingSimulation, "_create_peer", probe)
+        FileSharingSimulation(small_config()).build()
+        assert freed_at_first_peer == [True]
